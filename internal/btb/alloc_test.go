@@ -9,9 +9,8 @@ import (
 )
 
 // pinZeroAllocs asserts fn performs no heap allocation per invocation,
-// pinning the steady-state contract of the SoA BTB: requests are read in
-// place (fast path) or copied into BTB-owned scratch (interface path), and
-// victim snapshots reuse a per-BTB buffer.
+// pinning the steady-state contract of the SoA BTB: requests are copied
+// into BTB-owned scratch, and victim snapshots reuse a per-BTB buffer.
 func pinZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
 	fn() // warm up: first call may grow internal scratch
@@ -44,39 +43,42 @@ func accessDriver(b *btb.BTB) func() {
 }
 
 // TestAccessDoesNotAllocate pins btb.Access, PrefetchFill, and Lookup at
-// zero allocations for both the devirtualized fast paths and the generic
-// interface path (GHRP has no fast-path core).
+// zero allocations for every dispatch kind, the devirtualized cores and the
+// generic interface dispatch (GHRP and Hawkeye have no core), each with and
+// without a telemetry probe attached.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	cases := []struct {
 		name string
-		pol  btb.Policy
+		mk   func() btb.Policy
 	}{
-		{"lru-fastpath", policy.NewLRU()},
-		{"srrip-fastpath", policy.NewSRRIP()},
-		{"thermometer-fastpath", policy.NewThermometer()},
-		{"opt-fastpath", policy.NewOPT()},
-		{"ghrp-generic", policy.NewGHRP()},
-		{"hawkeye-generic", policy.NewHawkeye()},
+		{"lru-fastpath", func() btb.Policy { return policy.NewLRU() }},
+		{"srrip-fastpath", func() btb.Policy { return policy.NewSRRIP() }},
+		{"thermometer-fastpath", func() btb.Policy { return policy.NewThermometer() }},
+		{"opt-fastpath", func() btb.Policy { return policy.NewOPT() }},
+		{"ghrp-generic", func() btb.Policy { return policy.NewGHRP() }},
+		{"hawkeye-generic", func() btb.Policy { return policy.NewHawkeye() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := btb.New(256, 4, tc.pol)
-			pinZeroAllocs(t, tc.name, accessDriver(b))
+			for _, probed := range []bool{false, true} {
+				name := "no-probe"
+				if probed {
+					name = "probe"
+				}
+				t.Run(name, func(t *testing.T) {
+					b := btb.New(256, 4, tc.mk())
+					var events uint64
+					if probed {
+						b.SetProbe(func(kind btb.ProbeKind, set, way int, req *btb.Request, evicted *btb.Entry) {
+							events++
+						})
+					}
+					pinZeroAllocs(t, tc.name+"/"+name, accessDriver(b))
+					if probed && events == 0 {
+						t.Fatal("probe never fired")
+					}
+				})
+			}
 		})
-	}
-}
-
-// TestProbedAccessDoesNotAllocate pins the probe-attached path (used by the
-// golden fingerprint tests and telemetry), which shares the generic access
-// body.
-func TestProbedAccessDoesNotAllocate(t *testing.T) {
-	b := btb.New(256, 4, policy.NewLRU())
-	var events uint64
-	b.SetProbe(func(kind btb.ProbeKind, set, way int, req *btb.Request, evicted *btb.Entry) {
-		events++
-	})
-	pinZeroAllocs(t, "probed", accessDriver(b))
-	if events == 0 {
-		t.Fatal("probe never fired")
 	}
 }

@@ -14,7 +14,8 @@
 // Power-of-two set counts index with a mask; others (the paper's 7979-entry
 // case) keep the modulo. Hot policies are dispatched through concrete cores
 // chosen once at construction (see cores.go); the Policy interface remains
-// the extension point and is always used when a telemetry probe is attached.
+// the extension point for every other policy. Attaching a telemetry probe
+// does not change the dispatch.
 package btb
 
 import (
@@ -148,9 +149,9 @@ const (
 // A nil probe (the default) costs one predictable branch per event site.
 type ProbeFunc func(kind ProbeKind, set, way int, req *Request, victim *Entry)
 
-// dispatchKind selects the devirtualized per-access path, chosen once at
-// construction from the policy's Fast* accessor (kindGeneric = interface
-// dispatch).
+// dispatchKind selects how Access and PrefetchFill reach the policy, chosen
+// once at construction from the policy's Fast* accessor (kindGeneric =
+// interface dispatch).
 type dispatchKind uint8
 
 const (
@@ -188,8 +189,8 @@ type BTB struct {
 	probe  ProbeFunc
 
 	// Devirtualized dispatch: kind and the matching core pointer are chosen
-	// once in NewWithSets. The pointers alias state inside policy, so the
-	// interface path (probe attached, or kindGeneric) stays consistent.
+	// once in NewWithSets. The pointers alias state inside policy, so
+	// policy's own methods (Name, telemetry) see the state the cores mutate.
 	kind   dispatchKind
 	lru    *LRUCore
 	srrip  *SRRIPCore
@@ -198,9 +199,9 @@ type BTB struct {
 
 	// Scratch reused across calls so the steady state allocates nothing:
 	// req receives a copy of the caller's request before it is handed to
-	// interface methods or probes (keeping the caller's Request on its
-	// stack), setScratch materializes a set for Policy.Victim, and
-	// evScratch holds the displaced entry passed to ProbeEvict.
+	// the policy or the probe (keeping the caller's Request on its stack),
+	// setScratch materializes a set for Policy.Victim, and evScratch holds
+	// the displaced entry passed to ProbeEvict.
 	req        Request
 	setScratch []Entry
 	evScratch  Entry
@@ -276,9 +277,8 @@ func (b *BTB) Stats() Stats { return b.stats }
 // state (used at the end of simulation warmup).
 func (b *BTB) ResetStats() { b.stats = Stats{} }
 
-// SetProbe installs (or, with nil, removes) the telemetry probe. While a
-// probe is attached, accesses take the interface dispatch path so the
-// probe sees the canonical event stream.
+// SetProbe installs (or, with nil, removes) the telemetry probe. The probe
+// only observes: replacement runs through the same dispatch either way.
 func (b *BTB) SetProbe(fn ProbeFunc) { b.probe = fn }
 
 // SetIndex maps a branch PC to its set: address modulo set count, per §4.2
@@ -346,8 +346,7 @@ func (b *BTB) hitUpdate(s, w int, req *Request) {
 }
 
 // fillAt writes req into slot (s, w) and counts the insertion. The policy
-// insert action is the caller's responsibility (direct on fast paths,
-// OnInsert on the interface path).
+// insert action (onInsert) is the caller's responsibility.
 func (b *BTB) fillAt(s, w int, req *Request) {
 	i := s*b.ways + w
 	b.valid[s*b.vwords+w>>6] |= 1 << uint(w&63)
@@ -357,8 +356,9 @@ func (b *BTB) fillAt(s, w int, req *Request) {
 	b.stats.Insertions++
 }
 
-// fastOnHit dispatches the hit action to the selected core.
-func (b *BTB) fastOnHit(s, w int, req *Request) {
+// onHit dispatches the hit action to the selected core, or to the policy
+// interface for a policy without one.
+func (b *BTB) onHit(s, w int, req *Request) {
 	switch b.kind {
 	case kindLRU:
 		b.lru.Touch(s, w)
@@ -368,13 +368,14 @@ func (b *BTB) fastOnHit(s, w int, req *Request) {
 		b.thermo.Touch(s, w)
 	case kindOPT:
 		b.opt.Record(s, w, req)
-	default:
-		panic("btb: fast hit dispatch on generic policy")
+	case kindGeneric:
+		b.policy.OnHit(s, w, req)
 	}
 }
 
-// fastOnInsert dispatches the insert action to the selected core.
-func (b *BTB) fastOnInsert(s, w int, req *Request) {
+// onInsert dispatches the insert action to the selected core, or to the
+// policy interface for a policy without one.
+func (b *BTB) onInsert(s, w int, req *Request) {
 	switch b.kind {
 	case kindLRU:
 		b.lru.Touch(s, w)
@@ -384,13 +385,15 @@ func (b *BTB) fastOnInsert(s, w int, req *Request) {
 		b.thermo.Touch(s, w)
 	case kindOPT:
 		b.opt.Record(s, w, req)
-	default:
-		panic("btb: fast insert dispatch on generic policy")
+	case kindGeneric:
+		b.policy.OnInsert(s, w, req)
 	}
 }
 
-// fastVictim dispatches victim selection to the selected core (set full).
-func (b *BTB) fastVictim(s int, req *Request) int {
+// victim selects the way to evict from the full set s, or Bypass. A policy
+// without a core sees a snapshot of the set through Policy.Victim, and its
+// answer is range-checked.
+func (b *BTB) victim(s int, req *Request) int {
 	switch b.kind {
 	case kindLRU:
 		return b.lru.LRUWay(s)
@@ -403,18 +406,18 @@ func (b *BTB) fastVictim(s int, req *Request) int {
 			t.temps[w] = uint8(b.meta[base+w] >> 8)
 		}
 		return t.SelectVictim(s, t.temps, req)
-	default: // kindOPT
+	case kindOPT:
 		return b.opt.SelectVictim(s, req)
+	default: // kindGeneric
+		for w := 0; w < b.ways; w++ {
+			b.setScratch[w] = b.entryAt(s, w)
+		}
+		v := b.policy.Victim(s, b.setScratch, req)
+		if v != Bypass && (v < 0 || v >= b.ways) {
+			panic(fmt.Sprintf("btb: policy %s returned invalid victim %d", b.policy.Name(), v))
+		}
+		return v
 	}
-}
-
-// materializeSet snapshots set s into the reusable scratch for
-// Policy.Victim on the interface path.
-func (b *BTB) materializeSet(s int) []Entry {
-	for w := 0; w < b.ways; w++ {
-		b.setScratch[w] = b.entryAt(s, w)
-	}
-	return b.setScratch
 }
 
 // Lookup probes the BTB without modifying replacement state or statistics.
@@ -432,86 +435,47 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 // Access performs a demand access for a taken branch: probe, update
 // replacement state on a hit, or consult the policy and insert on a miss.
 //
-// The caller's Request never escapes: fast paths read it in place, and the
-// interface path works on a BTB-owned copy, so per-access Requests stay on
+// The caller's Request never escapes: it is copied into the BTB-owned b.req,
+// which is what the policy and the probe see, so per-access Requests stay on
 // the caller's stack.
 func (b *BTB) Access(req *Request) Result {
-	if b.probe == nil && b.kind != kindGeneric {
-		return b.accessFast(req)
-	}
-	b.req = *req
-	return b.accessGeneric(&b.req)
-}
-
-// accessFast is the devirtualized demand access: identical decision
-// sequence to accessGeneric, with the policy hooks dispatched directly.
-func (b *BTB) accessFast(req *Request) Result {
+	r := &b.req
+	*r = *req
 	b.stats.Accesses++
-	s := b.SetIndex(req.PC)
-	if i := b.findWay(s, req.PC); i >= 0 {
-		b.hitUpdate(s, i, req)
-		b.fastOnHit(s, i, req)
-		return Result{Hit: true, Way: i}
-	}
-	b.stats.Misses++
-	if i := b.firstInvalid(s); i >= 0 {
-		b.fillAt(s, i, req)
-		b.fastOnInsert(s, i, req)
-		return Result{Way: i}
-	}
-	v := b.fastVictim(s, req)
-	if v == Bypass {
-		b.stats.Bypasses++
-		return Result{Bypassed: true, Way: -1}
-	}
-	evicted := b.entryAt(s, v)
-	b.stats.Evictions++
-	b.fillAt(s, v, req)
-	b.fastOnInsert(s, v, req)
-	return Result{Evicted: evicted, Way: v}
-}
-
-// accessGeneric is the interface-dispatch demand access, used for policies
-// without a fast core and whenever a probe is attached.
-func (b *BTB) accessGeneric(req *Request) Result {
-	b.stats.Accesses++
-	s := b.SetIndex(req.PC)
-	if i := b.findWay(s, req.PC); i >= 0 {
-		b.hitUpdate(s, i, req)
-		b.policy.OnHit(s, i, req)
+	s := b.SetIndex(r.PC)
+	if i := b.findWay(s, r.PC); i >= 0 {
+		b.hitUpdate(s, i, r)
+		b.onHit(s, i, r)
 		if b.probe != nil {
-			b.probe(ProbeHit, s, i, req, nil)
+			b.probe(ProbeHit, s, i, r, nil)
 		}
 		return Result{Hit: true, Way: i}
 	}
 	b.stats.Misses++
 	if i := b.firstInvalid(s); i >= 0 {
-		b.fillAt(s, i, req)
-		b.policy.OnInsert(s, i, req)
+		b.fillAt(s, i, r)
+		b.onInsert(s, i, r)
 		if b.probe != nil {
-			b.probe(ProbeInsert, s, i, req, nil)
+			b.probe(ProbeInsert, s, i, r, nil)
 		}
 		return Result{Way: i}
 	}
-	v := b.policy.Victim(s, b.materializeSet(s), req)
+	v := b.victim(s, r)
 	if v == Bypass {
 		b.stats.Bypasses++
 		if b.probe != nil {
-			b.probe(ProbeBypass, s, -1, req, nil)
+			b.probe(ProbeBypass, s, -1, r, nil)
 		}
 		return Result{Bypassed: true, Way: -1}
 	}
-	if v < 0 || v >= b.ways {
-		panic(fmt.Sprintf("btb: policy %s returned invalid victim %d", b.policy.Name(), v))
-	}
 	evicted := b.entryAt(s, v)
 	b.stats.Evictions++
-	b.fillAt(s, v, req)
-	b.policy.OnInsert(s, v, req)
+	b.fillAt(s, v, r)
+	b.onInsert(s, v, r)
 	if b.probe != nil {
 		b.evScratch = evicted
-		b.probe(ProbeEvict, s, v, req, &b.evScratch)
-		b.probe(ProbeInsert, s, v, req, nil)
+		b.probe(ProbeEvict, s, v, r, &b.evScratch)
+		b.probe(ProbeInsert, s, v, r, nil)
 	}
 	return Result{Evicted: evicted, Way: v}
 }
@@ -519,67 +483,38 @@ func (b *BTB) accessGeneric(req *Request) Result {
 // PrefetchFill installs req if absent, consulting the replacement policy
 // for the victim (so prefetch-induced pollution is modelled). It returns
 // whether a fill happened. Prefetches do not touch demand hit/miss
-// counters; fills are visible via Stats().PrefetchFills.
+// counters; fills are visible via Stats().PrefetchFills. Like Access, it
+// works on the BTB-owned copy of req.
 func (b *BTB) PrefetchFill(req *Request) bool {
-	if b.probe == nil && b.kind != kindGeneric {
-		return b.prefetchFast(req)
-	}
-	b.req = *req
-	return b.prefetchGeneric(&b.req)
-}
-
-func (b *BTB) prefetchFast(req *Request) bool {
-	s := b.SetIndex(req.PC)
-	if b.findWay(s, req.PC) >= 0 {
+	r := &b.req
+	*r = *req
+	s := b.SetIndex(r.PC)
+	if b.findWay(s, r.PC) >= 0 {
 		return false // already present
 	}
 	if i := b.firstInvalid(s); i >= 0 {
-		b.fillAt(s, i, req)
-		b.fastOnInsert(s, i, req)
-		b.stats.PrefetchFills++
-		return true
-	}
-	v := b.fastVictim(s, req)
-	if v == Bypass {
-		return false
-	}
-	b.stats.Evictions++
-	b.fillAt(s, v, req)
-	b.fastOnInsert(s, v, req)
-	b.stats.PrefetchFills++
-	return true
-}
-
-func (b *BTB) prefetchGeneric(req *Request) bool {
-	s := b.SetIndex(req.PC)
-	if b.findWay(s, req.PC) >= 0 {
-		return false // already present
-	}
-	if i := b.firstInvalid(s); i >= 0 {
-		b.fillAt(s, i, req)
-		b.policy.OnInsert(s, i, req)
+		b.fillAt(s, i, r)
+		b.onInsert(s, i, r)
 		b.stats.PrefetchFills++
 		if b.probe != nil {
-			b.probe(ProbePrefetchFill, s, i, req, nil)
+			b.probe(ProbePrefetchFill, s, i, r, nil)
 		}
 		return true
 	}
-	v := b.policy.Victim(s, b.materializeSet(s), req)
+	v := b.victim(s, r)
 	if v == Bypass {
 		return false
 	}
-	if v < 0 || v >= b.ways {
-		panic(fmt.Sprintf("btb: policy %s returned invalid victim %d", b.policy.Name(), v))
+	if b.probe != nil {
+		b.evScratch = b.entryAt(s, v)
 	}
-	evicted := b.entryAt(s, v)
 	b.stats.Evictions++
-	b.fillAt(s, v, req)
-	b.policy.OnInsert(s, v, req)
+	b.fillAt(s, v, r)
+	b.onInsert(s, v, r)
 	b.stats.PrefetchFills++
 	if b.probe != nil {
-		b.evScratch = evicted
-		b.probe(ProbeEvict, s, v, req, &b.evScratch)
-		b.probe(ProbePrefetchFill, s, v, req, nil)
+		b.probe(ProbeEvict, s, v, r, &b.evScratch)
+		b.probe(ProbePrefetchFill, s, v, r, nil)
 	}
 	return true
 }

@@ -6,13 +6,13 @@ package btb
 // The contract: a policy type that embeds one of these cores and exposes it
 // through the matching Fast* accessor gets devirtualized dispatch — the BTB
 // type-switches ONCE at construction and thereafter calls the core's methods
-// directly (inlineable, no interface call, no escaping arguments). The
-// policy's interface methods (OnHit/OnInsert/Victim) must delegate to the
-// same core instance, so the interface path — still used when a telemetry
-// probe is attached, and by every policy without a core — observes and
-// mutates identical state. Policies without a fast path (GHRP, Hawkeye,
-// ablations, external experiments) keep working unchanged through the
-// interface; it remains the extension point.
+// directly (inlineable, no interface call, no escaping arguments), whether
+// or not a telemetry probe is attached. The policy's interface methods
+// (OnHit/OnInsert/Victim) must still delegate to the same core instance, so
+// code that drives the policy through btb.Policy observes and mutates
+// identical state. Policies without a fast path (GHRP, Hawkeye, ablations,
+// external experiments) keep working unchanged through the interface; it
+// remains the extension point.
 
 // LRUFastPath is implemented by policies whose replacement decisions are
 // exactly LRU over per-way touch timestamps.

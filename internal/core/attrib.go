@@ -5,16 +5,6 @@ import (
 	"thermometer/internal/btb"
 )
 
-// attribProbe adapts btb probe events into attribution.Recorder calls,
-// stamping decisions with the live cycle counter. It is installed directly
-// when the run has no telemetry observer; otherwise observerState.probe
-// forwards to the same recorder so the BTB keeps a single probe.
-func attribProbe(att *attribution.Recorder, res *Result) btb.ProbeFunc {
-	return func(kind btb.ProbeKind, set, way int, req *btb.Request, victim *btb.Entry) {
-		forwardAttrib(att, res, kind, set, way, req, victim)
-	}
-}
-
 // forwardAttrib routes one probe event to the recorder. Prefetch-initiated
 // fills are not demand accesses, but their evictions are still replacement
 // decisions and are recorded as such (the miss classifier only ever sees the
@@ -34,11 +24,11 @@ func forwardAttrib(att *attribution.Recorder, res *Result, kind btb.ProbeKind, s
 	}
 }
 
-// attachAttribution binds the recorder to this run's geometry and hooks it
-// into the probe stream. Attribution models a single monolithic BTB: the
-// shadow reference models assume one set-indexing function, which neither
-// the Shotgun partition nor the two-level organization satisfies.
-func attachAttribution(cfg *Config, res *Result, bank *btbBank, obs *observerState) {
+// attachAttribution binds the recorder to this run's geometry; sim.probe
+// feeds it the probe stream. Attribution models a single monolithic BTB:
+// the shadow reference models assume one set-indexing function, which
+// neither the Shotgun partition nor the two-level organization satisfies.
+func attachAttribution(cfg *Config, res *Result, bank *btbBank) {
 	if cfg.ShotgunPartition || cfg.TwoLevelBTB != nil {
 		panic("core: attribution requires a monolithic BTB (no ShotgunPartition/TwoLevelBTB)")
 	}
@@ -47,9 +37,4 @@ func attachAttribution(cfg *Config, res *Result, bank *btbBank, obs *observerSta
 		return
 	}
 	att.Bind(res.Policy.Name(), bank.main.Sets(), bank.main.Ways())
-	if obs != nil {
-		obs.att = att
-		return
-	}
-	bank.main.SetProbe(attribProbe(att, res))
 }

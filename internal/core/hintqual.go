@@ -18,17 +18,12 @@ func forwardHintQual(hq *hintqual.Recorder, kind btb.ProbeKind, set int, req *bt
 	}
 }
 
-// attachHintQual binds the recorder to this run's geometry and hint table
-// and hooks it into the probe stream. Like attribution, hint-quality audit
+// attachHintQual binds the recorder to this run's geometry and hint table;
+// sim.probe feeds it the probe stream. Like attribution, hint-quality audit
 // models a single monolithic BTB: the same-geometry Belady shadow assumes
 // one set-indexing function, which neither the Shotgun partition nor the
 // two-level organization satisfies.
-//
-// Probe routing composes with the other consumers: when an observer is
-// attached, observerState.probe forwards to the recorder so the BTB keeps a
-// single probe; when only attribution is attached, the two recorders share
-// one installed probe; alone, the recorder's own probe is installed.
-func attachHintQual(cfg *Config, res *Result, bank *btbBank, obs *observerState) {
+func attachHintQual(cfg *Config, res *Result, bank *btbBank) {
 	if cfg.ShotgunPartition || cfg.TwoLevelBTB != nil {
 		panic("core: hint-quality audit requires a monolithic BTB (no ShotgunPartition/TwoLevelBTB)")
 	}
@@ -37,18 +32,4 @@ func attachHintQual(cfg *Config, res *Result, bank *btbBank, obs *observerState)
 		return
 	}
 	hq.Bind(res.Policy.Name(), bank.main.Sets(), bank.main.Ways(), cfg.Hints)
-	if obs != nil {
-		obs.hq = hq
-		return
-	}
-	if att := cfg.Attribution; att != nil {
-		bank.main.SetProbe(func(kind btb.ProbeKind, set, way int, req *btb.Request, victim *btb.Entry) {
-			forwardAttrib(att, res, kind, set, way, req, victim)
-			forwardHintQual(hq, kind, set, req)
-		})
-		return
-	}
-	bank.main.SetProbe(func(kind btb.ProbeKind, set, way int, req *btb.Request, victim *btb.Entry) {
-		forwardHintQual(hq, kind, set, req)
-	})
 }

@@ -29,7 +29,10 @@ func hintedConfig(t *testing.T, train *trace.Trace) Config {
 // Like the observer and attribution layers, the hint-quality audit must be a
 // pure read-side tap: attaching it cannot change a single architectural or
 // timing statistic — alone, alongside an observer, or alongside both the
-// observer and the attribution recorder.
+// observer and the attribution recorder. Every composition shares one probe
+// fan-out, so the audit must also score the same demand stream in each:
+// its demand counts agree across all four (drift windows follow the epoch
+// grid, so they differ by design).
 func TestHintQualDoesNotPerturbResult(t *testing.T) {
 	tr := smallTrace(t, "kafka")
 	base := Run(tr, hintedConfig(t, tr))
@@ -52,10 +55,17 @@ func TestHintQualDoesNotPerturbResult(t *testing.T) {
 			cfg.Attribution = attribution.New(attribution.Options{})
 		},
 	}
+	type demandCounts struct {
+		accesses, over, under uint64
+		branches              int
+	}
+	audited := make(map[string]demandCounts, len(variants))
 	for name, mutate := range variants {
 		cfg := hintedConfig(t, tr)
 		mutate(&cfg)
 		r := Run(tr, cfg)
+		s := cfg.HintQual.Summary()
+		audited[name] = demandCounts{s.Accesses, s.OverPredicted, s.UnderPredicted, s.Branches}
 		if r.Cycles != base.Cycles || r.Instructions != base.Instructions {
 			t.Fatalf("%s: audit perturbed timing: %d/%d cycles, %d/%d instructions",
 				name, r.Cycles, base.Cycles, r.Instructions, base.Instructions)
@@ -68,6 +78,15 @@ func TestHintQualDoesNotPerturbResult(t *testing.T) {
 		}
 		if r.DirMispredicts != base.DirMispredicts {
 			t.Fatalf("%s: audit perturbed direction prediction", name)
+		}
+	}
+	want := audited["bare"]
+	if want.accesses == 0 {
+		t.Fatal("bare audit scored no accesses")
+	}
+	for name, got := range audited {
+		if got != want {
+			t.Errorf("%s: audit demand counts %+v differ from the bare audit's %+v", name, got, want)
 		}
 	}
 }

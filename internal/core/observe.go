@@ -35,19 +35,16 @@ type observerState struct {
 	insertCycle  map[uint64]uint64
 	lastHitCycle map[uint64]uint64
 
-	// att, when non-nil, receives every probe event for miss attribution
-	// and regret tracing (see attachAttribution).
+	// att and hq, when non-nil, are the run's attribution and hint-quality
+	// recorders: the heatmap samples and the drift windows close on the
+	// epoch grid, and their totals are published at finish.
 	att *attribution.Recorder
-
-	// hq, when non-nil, receives every demand probe event for hint-quality
-	// audit, and its drift windows close on the epoch grid (see
-	// attachHintQual).
-	hq *hintqual.Recorder
+	hq  *hintqual.Recorder
 }
 
-func newObserverState(obs *telemetry.Observer, res *Result, bank *btbBank, twoLevel *btb.TwoLevel) *observerState {
+func newObserverState(obs *telemetry.Observer, res *Result, bank *btbBank, twoLevel *btb.TwoLevel, att *attribution.Recorder, hq *hintqual.Recorder) *observerState {
 	o := &observerState{
-		obs: obs, res: res, bank: bank, twoLevel: twoLevel,
+		obs: obs, res: res, bank: bank, twoLevel: twoLevel, att: att, hq: hq,
 		insertCycle:  make(map[uint64]uint64),
 		lastHitCycle: make(map[uint64]uint64),
 	}
@@ -64,27 +61,12 @@ func newObserverState(obs *telemetry.Observer, res *Result, bank *btbBank, twoLe
 		o.hFTQLead = m.Histogram("ftq_lead_cycles")
 		o.hRedirectPenalty = m.Histogram("redirect_penalty_cycles")
 	}
-	probe := o.probe
-	bank.main.SetProbe(probe)
-	if bank.cond != nil {
-		bank.cond.SetProbe(probe)
-	}
-	if twoLevel != nil {
-		twoLevel.L1.SetProbe(probe)
-		twoLevel.L2.SetProbe(probe)
-	}
 	return o
 }
 
-// probe receives structural BTB events. Cycle stamps come from the live
-// Result the simulator is accumulating into.
+// probe receives structural BTB events from sim.probe. Cycle stamps come
+// from the live Result the simulator is accumulating into.
 func (o *observerState) probe(kind btb.ProbeKind, set, way int, req *btb.Request, victim *btb.Entry) {
-	if o.att != nil {
-		forwardAttrib(o.att, o.res, kind, set, way, req, victim)
-	}
-	if o.hq != nil {
-		forwardHintQual(o.hq, kind, set, req)
-	}
 	now := o.res.Cycles
 	switch kind {
 	case btb.ProbeHit:

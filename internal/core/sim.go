@@ -145,9 +145,8 @@ func (r *fillRing) pop() pendingFill {
 
 // sim holds the complete state of one timing simulation. Loop-invariant
 // configuration (hint table, prefetcher, penalties, perfect-structure
-// flags) is hoisted into fields once at setup; the record loop comes in
-// specialized variants (observed/unobserved × prefetch/no-prefetch) so the
-// steady-state path checks none of it per access.
+// flags) is hoisted into fields once at setup, so the record loop reads
+// plain fields and predictable flags per access.
 type sim struct {
 	cfg *Config
 	res *Result
@@ -295,16 +294,27 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 		}
 	}
 
-	// Telemetry attachment: obs is nil for the common uninstrumented run;
-	// the unobserved loop variants never consult it.
+	// Telemetry attachment: obs is nil for the common uninstrumented run,
+	// and no BTB carries a probe unless some consumer needs its events.
 	if cfg.Observer != nil {
-		s.obs = newObserverState(cfg.Observer, res, bank, twoLevel)
+		s.obs = newObserverState(cfg.Observer, res, bank, twoLevel, cfg.Attribution, cfg.HintQual)
 	}
 	if cfg.Attribution != nil {
-		attachAttribution(&cfg, res, bank, s.obs)
+		attachAttribution(&cfg, res, bank)
 	}
 	if cfg.HintQual != nil {
-		attachHintQual(&cfg, res, bank, s.obs)
+		attachHintQual(&cfg, res, bank)
+	}
+	if s.obs != nil || cfg.Attribution != nil || cfg.HintQual != nil {
+		probe := s.probe
+		bank.main.SetProbe(probe)
+		if bank.cond != nil {
+			bank.cond.SetProbe(probe)
+		}
+		if twoLevel != nil {
+			twoLevel.L1.SetProbe(probe)
+			twoLevel.L2.SetProbe(probe)
+		}
 	}
 
 	recs := tr.Records
@@ -342,20 +352,18 @@ func Run(tr *trace.Trace, cfg Config) *Result {
 	return res
 }
 
-// runRecords dispatches to the loop variant specialized for this run's
-// instrumentation. The split hoists the observer and prefetcher checks out
-// of the per-record path entirely: the fast variant's body mentions
-// neither.
-func (s *sim) runRecords(recs []trace.Record) {
-	switch {
-	case s.obs == nil && s.prefetcher == nil:
-		s.loopFast(recs)
-	case s.obs == nil:
-		s.loopPrefetch(recs)
-	case s.prefetcher == nil:
-		s.loopObserved(recs)
-	default:
-		s.loopFull(recs)
+// probe is the one BTB probe of an instrumented run. It forwards each
+// structural event to attribution, then hint-quality audit, then the
+// telemetry observer.
+func (s *sim) probe(kind btb.ProbeKind, set, way int, req *btb.Request, victim *btb.Entry) {
+	if att := s.cfg.Attribution; att != nil {
+		forwardAttrib(att, s.res, kind, set, way, req, victim)
+	}
+	if hq := s.cfg.HintQual; hq != nil {
+		forwardHintQual(hq, kind, set, req)
+	}
+	if s.obs != nil {
+		s.obs.probe(kind, set, way, req, victim)
 	}
 }
 
@@ -450,9 +458,6 @@ func (s *sim) btbAccess(r *trace.Record) (hit bool, bubble uint64) {
 }
 
 // applyFill installs one matured prefetch fill through the BTB's policy.
-// The meta/hints presence checks were hoisted to setup: meta is non-nil
-// whenever a prefetcher is configured (fills only mature in the prefetch
-// variants), so only the hint-table branch remains here.
 func (s *sim) applyFill(pf pendingFill) {
 	req := &s.fillReq
 	req.PC, req.Target, req.Type = pf.pc, pf.target, pf.typ
@@ -518,7 +523,7 @@ func (s *sim) applyPenalty(penalty int) {
 
 // icacheWalk fetches the instruction lines of the block following this
 // branch and returns the fetch stall not hidden by FDIP lead. prefetching
-// selects the variant that feeds line fills to the BTB prefetcher.
+// feeds each line fill to the BTB prefetcher.
 func (s *sim) icacheWalk(r *trace.Record, n uint64, prefetching bool) uint64 {
 	start := r.PC + 4
 	if r.Taken {
@@ -609,10 +614,11 @@ func (s *sim) leadCapH() uint64 {
 	return c
 }
 
-// loopFast is the unobserved, non-prefetching record loop — the steady
-// state of every sweep and benchmark. Its body touches no optional
-// feature: no observer, no prefetcher, no pending-fill queue.
-func (s *sim) loopFast(recs []trace.Record) {
+// runRecords simulates recs in order. The prefetcher flag is hoisted out of
+// the loop and the observer hooks sit behind nil checks, so an
+// uninstrumented run pays one predictable branch per hook.
+func (s *sim) runRecords(recs []trace.Record) {
+	prefetching := s.prefetcher != nil
 	for i := range recs {
 		r := &recs[i]
 		n := uint64(r.BlockLen) + 1 // block + the branch itself
@@ -626,21 +632,30 @@ func (s *sim) loopFast(recs []trace.Record) {
 		if r.Taken {
 			targetMiss = s.targetStructures(r)
 			if !s.perfectBTB {
+				if prefetching {
+					s.drainFills()
+				}
 				hit, bubble := s.btbAccess(r)
 				btbMiss = !hit
 				btbBubble = bubble
+				if prefetching {
+					s.prefetcher.OnBTBAccess(r.PC, r.Target, hit, s.insertFn)
+				}
 			}
 			s.curIdx++
 		}
 
 		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
 		if penalty > 0 {
+			if s.obs != nil {
+				s.obs.onRedirect(btbMiss, dirMiss, targetMiss, r.PC, penalty)
+			}
 			s.applyPenalty(penalty)
 		}
 
 		var stall uint64
 		if !s.perfectICache {
-			stall = s.icacheWalk(r, n, false)
+			stall = s.icacheWalk(r, n, prefetching)
 		}
 
 		var dataStall uint64
@@ -649,148 +664,8 @@ func (s *sim) loopFast(recs []trace.Record) {
 		}
 
 		s.advanceClock(n, penalty, stall, dataStall, btbBubble)
-	}
-}
-
-// loopPrefetch adds the BTB prefetcher hooks (fill draining, access
-// feedback, line-fill taps) to the fast loop.
-func (s *sim) loopPrefetch(recs []trace.Record) {
-	for i := range recs {
-		r := &recs[i]
-		n := uint64(r.BlockLen) + 1
-		s.res.Instructions += n
-
-		dirMiss := s.predictDirection(r)
-
-		btbMiss := false
-		targetMiss := false
-		var btbBubble uint64
-		if r.Taken {
-			targetMiss = s.targetStructures(r)
-			if !s.perfectBTB {
-				s.drainFills()
-				hit, bubble := s.btbAccess(r)
-				btbMiss = !hit
-				btbBubble = bubble
-				s.prefetcher.OnBTBAccess(r.PC, r.Target, !btbMiss, s.insertFn)
-			}
-			s.curIdx++
+		if s.obs != nil {
+			s.obs.afterBlock(s.leadH / 2)
 		}
-
-		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
-		if penalty > 0 {
-			s.applyPenalty(penalty)
-		}
-
-		var stall uint64
-		if !s.perfectICache {
-			stall = s.icacheWalk(r, n, true)
-		}
-
-		var dataStall uint64
-		if s.dataStalls {
-			dataStall = s.dataStallFor(n)
-		}
-
-		s.advanceClock(n, penalty, stall, dataStall, btbBubble)
-	}
-}
-
-// loopObserved adds the telemetry observer hooks to the fast loop.
-func (s *sim) loopObserved(recs []trace.Record) {
-	// runRecords only selects this variant with an observer attached; the
-	// loop body relies on that (one check here, not one per record).
-	if s.obs == nil {
-		panic("core: loopObserved selected without an observer")
-	}
-	for i := range recs {
-		r := &recs[i]
-		n := uint64(r.BlockLen) + 1
-		s.res.Instructions += n
-
-		dirMiss := s.predictDirection(r)
-
-		btbMiss := false
-		targetMiss := false
-		var btbBubble uint64
-		if r.Taken {
-			targetMiss = s.targetStructures(r)
-			if !s.perfectBTB {
-				hit, bubble := s.btbAccess(r)
-				btbMiss = !hit
-				btbBubble = bubble
-			}
-			s.curIdx++
-		}
-
-		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
-		if penalty > 0 {
-			s.obs.onRedirect(btbMiss, dirMiss, targetMiss, r.PC, penalty)
-			s.applyPenalty(penalty)
-		}
-
-		var stall uint64
-		if !s.perfectICache {
-			stall = s.icacheWalk(r, n, false)
-		}
-
-		var dataStall uint64
-		if s.dataStalls {
-			dataStall = s.dataStallFor(n)
-		}
-
-		s.advanceClock(n, penalty, stall, dataStall, btbBubble)
-		s.obs.afterBlock(s.leadH / 2)
-	}
-}
-
-// loopFull runs with both the prefetcher and the observer attached, so it
-// combines loopPrefetch's fill hooks with loopObserved's telemetry hooks.
-func (s *sim) loopFull(recs []trace.Record) {
-	// runRecords only selects this variant with an observer attached; the
-	// loop body relies on that (one check here, not one per record).
-	if s.obs == nil {
-		panic("core: loopFull selected without an observer")
-	}
-	for i := range recs {
-		r := &recs[i]
-		n := uint64(r.BlockLen) + 1
-		s.res.Instructions += n
-
-		dirMiss := s.predictDirection(r)
-
-		btbMiss := false
-		targetMiss := false
-		var btbBubble uint64
-		if r.Taken {
-			targetMiss = s.targetStructures(r)
-			if !s.perfectBTB {
-				s.drainFills()
-				hit, bubble := s.btbAccess(r)
-				btbMiss = !hit
-				btbBubble = bubble
-				s.prefetcher.OnBTBAccess(r.PC, r.Target, !btbMiss, s.insertFn)
-			}
-			s.curIdx++
-		}
-
-		penalty := s.redirectPenalty(r, dirMiss, btbMiss, targetMiss)
-		if penalty > 0 {
-			s.obs.onRedirect(btbMiss, dirMiss, targetMiss, r.PC, penalty)
-			s.applyPenalty(penalty)
-		}
-
-		var stall uint64
-		if !s.perfectICache {
-			stall = s.icacheWalk(r, n, true)
-		}
-
-		var dataStall uint64
-		if s.dataStalls {
-			dataStall = s.dataStallFor(n)
-		}
-
-		s.advanceClock(n, penalty, stall, dataStall, btbBubble)
-		s.obs.afterBlock(s.leadH / 2)
 	}
 }

@@ -7,8 +7,9 @@
 // the BTB stores only architectural state (tags, targets, hint bits). The
 // hot policies (LRU, SRRIP, Thermometer, OPT) embed a concrete core from
 // package btb and expose it through the matching Fast* accessor, which lets
-// the BTB devirtualize their per-access dispatch; the interface methods
-// below delegate to the same core, so both paths share one state.
+// the BTB devirtualize their per-access dispatch, probed or not; the
+// interface methods below delegate to the same core, so a caller driving
+// the policy through btb.Policy shares that state.
 package policy
 
 import "thermometer/internal/btb"
